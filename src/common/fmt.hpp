@@ -70,6 +70,22 @@ inline char* store_le(char* p, T v) {
   return p + sizeof v;
 }
 
+/// Loads an unsigned integer stored little-endian at `p`; the inverse of
+/// store_le, folded into one unaligned load on little-endian hosts.
+template <typename T>
+[[nodiscard]] inline T load_le(const char* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      v = static_cast<T>(
+          v | (static_cast<T>(static_cast<unsigned char>(p[i])) << (8 * i)));
+    }
+  }
+  return v;
+}
+
 /// Stores a double as the little-endian bytes of its IEEE-754 bit pattern.
 inline char* store_f64_le(char* p, double v) {
   return store_le(p, std::bit_cast<std::uint64_t>(v));

@@ -11,11 +11,9 @@ double ByteCursor::f64(const char* what) {
   return std::bit_cast<double>(u64(what));
 }
 
-void ByteCursor::require(std::size_t n, const char* what) const {
-  if (data_.size() - pos_ < n) {
-    throw ParseError(*context_ + ": truncated " + what + " at byte " +
-                     std::to_string(base_ + pos_));
-  }
+void ByteCursor::fail_truncated(const char* what) const {
+  throw ParseError(*context_ + ": truncated " + what + " at byte " +
+                   std::to_string(base_ + pos_));
 }
 
 std::size_t encode_event_payload(const StreamEvent& event, char* buf) {

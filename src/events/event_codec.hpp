@@ -25,8 +25,22 @@
 namespace mtd {
 
 /// Upper bound on encode_event_payload output for any current event kind
-/// (the largest record, a segment, is 51 bytes; 64 leaves headroom).
+/// (the largest record, a segment, is 50 bytes; 64 leaves headroom).
 inline constexpr std::size_t kMaxEventPayloadBytes = 64;
+
+/// Bytes of the kind byte plus the 16-byte key that open every payload.
+inline constexpr std::size_t kEventHeaderBytes = 17;
+
+/// Exact encode_event_payload size of each kind, indexed by EventKind.
+/// decode_event_payload throws on a record of a known kind exactly when
+/// the record is shorter than this, so a reader that checks the length
+/// may skip a record it does not need without weakening any check.
+inline constexpr std::size_t kEventPayloadBytes[kNumEventKinds] = {
+    kEventHeaderBytes + 4,                              // minute
+    kEventHeaderBytes + 2 + 1 + 8 + 8,                  // session
+    kEventHeaderBytes + 2 + 1 + 8 + 4 + 1 + 1 + 8 + 8,  // segment
+    kEventHeaderBytes + 2 + 8 + 8 + 4,                  // packet
+};
 
 /// Bounds-checked little-endian reads over a byte range. `base_offset` is
 /// the absolute position of the range's first byte in its containing file;
@@ -97,7 +111,14 @@ class ByteCursor {
   }
 
  private:
-  void require(std::size_t n, const char* what) const;
+  /// Bounds check of every read; the throw lives out of line so the hot
+  /// path is one compare.
+  void require(std::size_t n, const char* what) const {
+    if (data_.size() - pos_ < n) [[unlikely]] {
+      fail_truncated(what);
+    }
+  }
+  [[noreturn]] void fail_truncated(const char* what) const;
 
   std::string_view data_;
   std::size_t pos_ = 0;

@@ -7,12 +7,12 @@
 // canonical (bs, day, minute, seq) order, exactly once, to a callback. The
 // query carries the predicates an implementation may push down below the
 // decode: MemorySessionSource filters an in-memory vector;
-// StoreSessionSource (src/store/store_session_source.hpp) pushes the BS and
-// day-range predicates into TraceStore::scan where fence and bloom pruning
-// skip cold pages entirely. Because both implementations deliver the same
-// events in the same order, any deterministic consumer computes
-// bit-identical results from either — the property the parity goldens in
-// tests/test_session_source.cpp assert.
+// StoreSessionSource (src/store/store_session_source.hpp) pushes the whole
+// query into TraceStore::scan, where fence and bloom pruning skip cold
+// pages entirely and kinds and days are tested before the decode. Because
+// both implementations deliver the same events in the same order, any
+// deterministic consumer computes bit-identical results from either — the
+// property the parity goldens in tests/test_session_source.cpp assert.
 #pragma once
 
 #include <cstdint>

@@ -19,8 +19,10 @@
 // root.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -68,6 +70,13 @@ inline constexpr std::size_t kMinPageSize = 512;
 /// FNV-1a over a byte range; the page payload checksum.
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes) noexcept;
 
+/// Four FNV-1a hashes in one interleaved pass: lane i equals
+/// fnv1a64(lanes[i]) bit for bit, for any lane lengths (zero included).
+/// FNV-1a is serial within one input (a multiply per byte), so four pages
+/// hashed side by side hide the multiply latency that bounds one.
+[[nodiscard]] std::array<std::uint64_t, 4> fnv1a64_x4(
+    const std::array<std::string_view, 4>& lanes) noexcept;
+
 /// Serializes `header` into `out` (kPageHeaderBytes bytes).
 void encode_page_header(const PageHeader& header, char* out);
 
@@ -80,13 +89,6 @@ void encode_page_header(const PageHeader& header, char* out);
 /// Serializes `key` into `out` (kKeyBytes bytes).
 void encode_key(const EventKey& key, char* out);
 [[nodiscard]] EventKey decode_key(ByteCursor& cursor, const char* what);
-
-/// Serializes one complete page image: header, payload, zero padding to
-/// `page_size`. The checksum is computed here.
-[[nodiscard]] std::string build_page(std::uint64_t page_id, PageType type,
-                                     std::uint16_t entry_count,
-                                     std::string_view payload,
-                                     std::size_t page_size);
 
 /// The superblock page (page 0) of a new store: store magic, format
 /// version, page size — enough for any reader to validate the manifest it
@@ -109,6 +111,25 @@ void check_superblock(std::string_view page, std::size_t page_size,
                                     std::uint64_t page_id,
                                     const std::string& context,
                                     std::string_view* payload);
+
+/// check_page plus the page type: `expect` guards against a corrupt index
+/// pointing a read at the wrong kind of page ("page P is a bloom page where
+/// a leaf page was indexed, at byte B").
+[[nodiscard]] PageHeader check_typed_page(std::string_view page,
+                                          std::uint64_t page_id,
+                                          PageType expect,
+                                          const std::string& context,
+                                          std::string_view* payload);
+
+/// Fully validates `headers.size()` consecutive page images of type
+/// `expect`, held back to back in `pages` (the first is page `first_id`):
+/// the same checks as check_typed_page on each page in turn, with the same
+/// diagnostic for the first faulty one, but checksummed four pages at a
+/// time. Fills `headers`.
+void check_page_run(std::string_view pages, std::size_t page_size,
+                    std::uint64_t first_id, PageType expect,
+                    const std::string& context,
+                    std::span<PageHeader> headers);
 
 /// How many fixed-width bloom filters of `bloom_bytes` fit one bloom page
 /// (the writer packs and the reader locates filters with the same

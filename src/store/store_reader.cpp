@@ -1,11 +1,11 @@
-#include <algorithm>
-#include <fstream>
 #include <optional>
 #include <utility>
 
 #include "common/error.hpp"
 #include "events/event_codec.hpp"
+#include "events/session_source.hpp"
 #include "store/bloom.hpp"
+#include "store/page_reader.hpp"
 #include "store/trace_store.hpp"
 
 namespace mtd::store {
@@ -14,97 +14,26 @@ namespace {
 
 constexpr std::uint64_t kNoPage = ~std::uint64_t{0};
 
-/// The largest possible key: upper bound of unbounded scans.
-constexpr EventKey max_key() noexcept {
-  return EventKey{0xffffffffu, 0xffff, 0xffff, ~std::uint64_t{0}};
-}
-
 }  // namespace
 
 struct TraceStore::Impl {
-  std::string path;
-  std::string pages_path;
-  std::string context;
-  std::ifstream file;
-  std::uint64_t file_size = 0;
+  explicit Impl(const std::string& path)
+      : manifest(StoreManifest::load(path)),
+        file(path + ".pages", manifest.options.page_size,
+             manifest.committed_pages) {}
+
   StoreManifest manifest;
-  StoreReadTelemetry telemetry;
-  std::string page_buf;
+  PageFile file;
   /// Last bloom page decoded, so consecutive leaf probes of one segment
   /// don't reread it.
   std::uint64_t cached_bloom_page = kNoPage;
   std::string bloom_payload;
 
-  struct Page {
-    PageHeader header;
-    std::string_view payload;  ///< into page_buf; invalidated by load_page
-  };
-
-  /// Reads and fully validates one committed page, counting it in the
-  /// telemetry. `expect` guards against index corruption pointing a
-  /// descent at the wrong page kind.
-  Page load_page(std::uint64_t page_id, PageType expect) {
-    const std::size_t page_size = manifest.options.page_size;
-    if (page_id >= manifest.committed_pages) {
-      throw ParseError(context + ": page id " + std::to_string(page_id) +
-                       " is beyond the " +
-                       std::to_string(manifest.committed_pages) +
-                       " committed pages");
-    }
-    file.clear();
-    file.seekg(static_cast<std::streamoff>(page_id * page_size));
-    page_buf.resize(page_size);
-    file.read(page_buf.data(), static_cast<std::streamsize>(page_size));
-    if (static_cast<std::size_t>(file.gcount()) != page_size) {
-      throw ParseError(
-          context + ": truncated page " + std::to_string(page_id) +
-          " at byte " +
-          std::to_string(page_id * page_size +
-                         static_cast<std::size_t>(file.gcount())));
-    }
-    Page page;
-    page.header = check_page(page_buf, page_id, context, &page.payload);
-    if (page.header.type != expect) {
-      throw ParseError(context + ": page " + std::to_string(page_id) +
-                       " is a " + std::string(to_string(page.header.type)) +
-                       " page where a " + std::string(to_string(expect)) +
-                       " page was indexed, at byte " +
-                       std::to_string(page_id * page_size));
-    }
-    ++telemetry.pages_read;
-    switch (page.header.type) {
-      case PageType::kLeaf: ++telemetry.leaf_pages_read; break;
-      case PageType::kInternal: ++telemetry.internal_pages_read; break;
-      case PageType::kBloom: ++telemetry.bloom_pages_read; break;
-      case PageType::kSuper: break;
-    }
-    return page;
+  [[nodiscard]] const std::string& context() const noexcept {
+    return file.context();
   }
-
-  /// Decodes every record of one leaf, in key order. Unknown kinds (a
-  /// newer writer) are skipped by their length prefix.
-  void decode_leaf(std::uint64_t page_id, std::vector<StreamEvent>& out) {
-    const Page page = load_page(page_id, PageType::kLeaf);
-    const std::size_t base =
-        page_id * manifest.options.page_size + kPageHeaderBytes;
-    ByteCursor cursor(page.payload, base, context);
-    out.clear();
-    for (std::uint16_t i = 0; i < page.header.entry_count; ++i) {
-      const std::size_t at = cursor.file_pos();
-      const std::uint32_t len = cursor.u32("record length");
-      if (len > cursor.remaining()) {
-        throw ParseError(context + ": record at byte " + std::to_string(at) +
-                         " claims " + std::to_string(len) +
-                         " bytes but only " +
-                         std::to_string(cursor.remaining()) +
-                         " remain in page " + std::to_string(page_id));
-      }
-      ByteCursor record(page.payload.substr(cursor.pos(), len),
-                        base + cursor.pos(), context);
-      StreamEvent event;
-      if (decode_event_payload(record, event)) out.push_back(std::move(event));
-      cursor.skip(len, "event record");
-    }
+  [[nodiscard]] StoreReadTelemetry& telemetry() noexcept {
+    return file.telemetry();
   }
 
   /// Bloom probe of leaf `ordinal` (0-based within `seg`) for `bs`.
@@ -117,12 +46,12 @@ struct TraceStore::Impl {
     const std::size_t slot =
         static_cast<std::size_t>(ordinal % per_page) * seg.bloom_bytes;
     if (cached_bloom_page != page_id) {
-      const Page page = load_page(page_id, PageType::kBloom);
+      const PageFile::Page page = file.load(page_id, PageType::kBloom);
       bloom_payload.assign(page.payload);
       cached_bloom_page = page_id;
     }
     if (slot + seg.bloom_bytes > bloom_payload.size()) {
-      throw ParseError(context + ": bloom page " + std::to_string(page_id) +
+      throw ParseError(context() + ": bloom page " + std::to_string(page_id) +
                        " is too short for filter slot " +
                        std::to_string(slot));
     }
@@ -134,34 +63,48 @@ struct TraceStore::Impl {
     return bloom.maybe_contains(bs);
   }
 
+  /// The prune predicate of a one-BS query over `seg`: a leaf whose bloom
+  /// filter rules `bs` out is skipped unread.
+  LeafStream::Prune bloom_prune(const SegmentInfo& seg, std::uint32_t bs) {
+    return [this, &seg, bs](std::uint64_t leaf) {
+      if (bloom_maybe_contains(seg, leaf - seg.first_leaf, bs)) return false;
+      ++telemetry().leaves_skipped_bloom;
+      return true;
+    };
+  }
+
   /// Collects, in key order, the leaves of `seg` whose fences overlap
   /// [lo, hi], descending the segment's fence tree and counting pruned
   /// leaf candidates.
-  void collect_leaves(const SegmentInfo& seg, const EventKey& lo,
-                      const EventKey& hi, std::vector<std::uint64_t>& out) {
-    out.clear();
-    if (seg.num_leaves == 0 || seg.min_key > hi || seg.max_key < lo) return;
+  std::vector<std::uint64_t> collect_leaves(const SegmentInfo& seg,
+                                            const EventKey& lo,
+                                            const EventKey& hi) {
+    std::vector<std::uint64_t> out;
+    if (seg.num_leaves == 0 || seg.min_key > hi || seg.max_key < lo) {
+      return out;
+    }
     if (seg.depth == 0) {
       out.push_back(seg.root);
-      return;
+      return out;
     }
     descend(seg.root, seg.depth, lo, hi, out);
+    return out;
   }
 
   void descend(std::uint64_t page_id, std::uint32_t level, const EventKey& lo,
                const EventKey& hi, std::vector<std::uint64_t>& out) {
-    const Page page = load_page(page_id, PageType::kInternal);
+    const PageFile::Page page = file.load(page_id, PageType::kInternal);
     struct Fence {
       EventKey min_key;
       EventKey max_key;
       std::uint64_t child;
     };
-    // Decode the fences up front: page_buf is invalidated by child loads.
+    // Decode the fences up front: the page buffer is reused by child loads.
     std::vector<Fence> fences;
     fences.reserve(page.header.entry_count);
     ByteCursor cursor(page.payload,
                       page_id * manifest.options.page_size + kPageHeaderBytes,
-                      context);
+                      context());
     for (std::uint16_t i = 0; i < page.header.entry_count; ++i) {
       Fence fence;
       fence.min_key = decode_key(cursor, "fence min key");
@@ -171,7 +114,7 @@ struct TraceStore::Impl {
     }
     for (const Fence& fence : fences) {
       if (fence.min_key > hi || fence.max_key < lo) {
-        if (level == 1) ++telemetry.leaves_skipped_fence;
+        if (level == 1) ++telemetry().leaves_skipped_fence;
         continue;
       }
       if (level == 1) {
@@ -182,102 +125,35 @@ struct TraceStore::Impl {
     }
   }
 
-  /// One segment's contribution to a merged query: candidate leaves walked
-  /// in order, each decoded and filtered to [lo, hi] (and to one BS when
-  /// `bs_filter` is set, with a bloom probe before each leaf read).
-  struct SegmentStream {
-    const SegmentInfo* seg = nullptr;
-    std::vector<std::uint64_t> leaves;
-    std::size_t leaf_index = 0;
-    std::vector<StreamEvent> events;
-    std::size_t pos = 0;
-
-    [[nodiscard]] bool exhausted() const noexcept {
-      return pos >= events.size() && leaf_index >= leaves.size();
-    }
-    [[nodiscard]] const StreamEvent& head() const noexcept {
-      return events[pos];
-    }
-  };
-
-  void refill(SegmentStream& stream, const EventKey& lo, const EventKey& hi,
-              std::optional<std::uint32_t> bs_filter) {
-    while (stream.pos >= stream.events.size() &&
-           stream.leaf_index < stream.leaves.size()) {
-      const std::uint64_t leaf = stream.leaves[stream.leaf_index++];
-      if (bs_filter.has_value() &&
-          !bloom_maybe_contains(*stream.seg, leaf - stream.seg->first_leaf,
-                                *bs_filter)) {
-        ++telemetry.leaves_skipped_bloom;
-        continue;
-      }
-      decode_leaf(leaf, stream.events);
-      std::erase_if(stream.events, [&](const StreamEvent& event) {
-        if (event.key < lo || hi < event.key) return true;
-        return bs_filter.has_value() && event.key.bs != *bs_filter;
-      });
-      stream.pos = 0;
-    }
-  }
-
-  /// K-way merge of every segment over [lo, hi] in canonical key order.
-  std::uint64_t merge(const EventKey& lo, const EventKey& hi,
-                      std::optional<std::uint32_t> bs_filter,
+  /// K-way merge of every segment's records matching `filter`, decoded
+  /// and delivered in canonical key order. With `bs` set, each candidate
+  /// leaf's bloom filter is probed before the leaf is read.
+  std::uint64_t merge(const RecordFilter& filter,
+                      std::optional<std::uint32_t> bs,
                       const std::function<void(const StreamEvent&)>& fn) {
-    std::vector<SegmentStream> streams;
-    streams.reserve(manifest.segments.size());
+    RecordMerge merge;
     for (const SegmentInfo& seg : manifest.segments) {
-      SegmentStream stream;
-      stream.seg = &seg;
-      collect_leaves(seg, lo, hi, stream.leaves);
-      refill(stream, lo, hi, bs_filter);
-      if (!stream.exhausted()) streams.push_back(std::move(stream));
+      std::vector<std::uint64_t> leaves =
+          collect_leaves(seg, filter.lo, filter.hi);
+      if (leaves.empty()) continue;
+      merge.add(file, std::move(leaves), filter,
+                bs.has_value() ? bloom_prune(seg, *bs) : LeafStream::Prune{});
     }
     std::uint64_t delivered = 0;
-    while (!streams.empty()) {
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < streams.size(); ++i) {
-        if (streams[i].head().key < streams[best].head().key) best = i;
-      }
-      SegmentStream& stream = streams[best];
-      fn(stream.head());
+    StreamEvent event;
+    for (const RawRecord* record = merge.front(); record != nullptr;
+         record = merge.front()) {
+      record->decode(event, context());
+      fn(event);
       ++delivered;
-      ++stream.pos;
-      refill(stream, lo, hi, bs_filter);
-      if (stream.exhausted()) {
-        streams.erase(streams.begin() +
-                      static_cast<std::ptrdiff_t>(best));
-      }
+      merge.pop();
     }
     return delivered;
   }
 };
 
-TraceStore::TraceStore(const std::string& path) : impl_(new Impl) {
-  impl_->path = path;
-  impl_->pages_path = path + ".pages";
-  impl_->context = "trace store '" + impl_->pages_path + "'";
-  impl_->manifest = StoreManifest::load(path);
-  impl_->file.open(impl_->pages_path, std::ios::binary);
-  if (!impl_->file) {
-    throw IoError("TraceStore: cannot open '" + impl_->pages_path + "'");
-  }
-  impl_->file.seekg(0, std::ios::end);
-  impl_->file_size = static_cast<std::uint64_t>(impl_->file.tellg());
-  const std::uint64_t committed = impl_->manifest.committed_bytes();
-  if (impl_->file_size < committed) {
-    throw ParseError(impl_->context + ": page file is " +
-                     std::to_string(impl_->file_size) +
-                     " bytes but the manifest commits " +
-                     std::to_string(committed) + " — truncated at byte " +
-                     std::to_string(impl_->file_size));
-  }
-  const Impl::Page super = impl_->load_page(0, PageType::kSuper);
-  (void)super;
-  check_superblock(impl_->page_buf, impl_->manifest.options.page_size,
-                   impl_->context);
-  impl_->telemetry = {};
-}
+TraceStore::TraceStore(const std::string& path)
+    : impl_(std::make_unique<Impl>(path)) {}
 
 TraceStore::~TraceStore() = default;
 TraceStore::TraceStore(TraceStore&&) noexcept = default;
@@ -288,40 +164,51 @@ const StoreManifest& TraceStore::manifest() const noexcept {
 }
 
 std::optional<StreamEvent> TraceStore::get(const EventKey& key) {
-  ++impl_->telemetry.point_lookups;
-  std::vector<std::uint64_t> leaves;
-  std::vector<StreamEvent> events;
+  ++impl_->telemetry().point_lookups;
+  const RecordFilter filter{.lo = key, .hi = key};
   for (const SegmentInfo& seg : impl_->manifest.segments) {
-    impl_->collect_leaves(seg, key, key, leaves);
-    for (const std::uint64_t leaf : leaves) {
-      if (!impl_->bloom_maybe_contains(seg, leaf - seg.first_leaf, key.bs)) {
-        ++impl_->telemetry.leaves_skipped_bloom;
-        continue;
-      }
-      impl_->decode_leaf(leaf, events);
-      for (StreamEvent& event : events) {
-        if (event.key == key) return std::move(event);
-      }
+    std::vector<std::uint64_t> leaves = impl_->collect_leaves(seg, key, key);
+    if (leaves.empty()) continue;
+    LeafStream stream(impl_->file, std::move(leaves), filter,
+                      impl_->bloom_prune(seg, key.bs));
+    if (const RawRecord* record = stream.next()) {
+      StreamEvent event;
+      record->decode(event, impl_->context());
+      return event;
     }
   }
   return std::nullopt;
 }
 
 std::uint64_t TraceStore::scan(
+    const SourceQuery& query,
+    const std::function<void(const StreamEvent&)>& fn) {
+  ++impl_->telemetry().range_scans;
+  RecordFilter filter;
+  filter.day_lo = query.day_lo;
+  filter.day_hi = query.day_hi;
+  filter.kinds = query.kinds;
+  if (query.bs.has_value()) {
+    // Keys order by BS first: one BS's day range is one key range.
+    filter.lo = EventKey{*query.bs, query.day_lo, 0, 0};
+    filter.hi = EventKey{*query.bs, query.day_hi, 0xffff, ~std::uint64_t{0}};
+  }
+  return impl_->merge(filter, query.bs, fn);
+}
+
+std::uint64_t TraceStore::scan(
     std::uint32_t bs, std::uint16_t day_lo, std::uint16_t day_hi,
     const std::function<void(const StreamEvent&)>& fn) {
-  ++impl_->telemetry.range_scans;
-  const EventKey lo{bs, day_lo, 0, 0};
-  const EventKey hi{bs, day_hi, 0xffff, ~std::uint64_t{0}};
-  return impl_->merge(lo, hi, bs, fn);
+  SourceQuery query;
+  query.bs = bs;
+  query.day_lo = day_lo;
+  query.day_hi = day_hi;
+  return scan(query, fn);
 }
 
 std::uint64_t TraceStore::replay(EventSink& sink) {
-  ++impl_->telemetry.range_scans;
-  return impl_->merge(EventKey{}, max_key(), std::nullopt,
-                      [&sink](const StreamEvent& event) {
-                        sink.on_event(event);
-                      });
+  return scan(SourceQuery{},
+              [&sink](const StreamEvent& event) { sink.on_event(event); });
 }
 
 StoreVerifyReport TraceStore::verify() {
@@ -331,31 +218,33 @@ StoreVerifyReport TraceStore::verify() {
   // superseded segments' bytes, which no live index references — they are
   // accounted, not walked.
   std::uint64_t accounted = 1 + impl_->manifest.dead_pages;
-  std::vector<StreamEvent> events;
   for (const SegmentInfo& seg : impl_->manifest.segments) {
-    std::uint64_t counted = 0;
+    // Every leaf is read once, every record checked; the entry counts of
+    // the leaves must add up to the segment's event count.
+    std::vector<std::uint64_t> leaves(seg.num_leaves);
     for (std::uint64_t i = 0; i < seg.num_leaves; ++i) {
-      const Impl::Page page =
-          impl_->load_page(seg.first_leaf + i, PageType::kLeaf);
-      counted += page.header.entry_count;
-      impl_->decode_leaf(seg.first_leaf + i, events);
+      leaves[i] = seg.first_leaf + i;
     }
+    LeafStream stream(impl_->file, std::move(leaves), RecordFilter{});
+    while (stream.next() != nullptr) {
+    }
+    const std::uint64_t counted = stream.entries_read();
     if (counted != seg.events) {
-      throw ParseError(impl_->context + ": segment at page " +
+      throw ParseError(impl_->context() + ": segment at page " +
                        std::to_string(seg.first_page) + " indexes " +
                        std::to_string(seg.events) +
                        " events but its leaves hold " +
                        std::to_string(counted));
     }
     for (std::uint64_t i = 0; i < seg.num_bloom_pages; ++i) {
-      (void)impl_->load_page(seg.first_bloom_page + i, PageType::kBloom);
+      (void)impl_->file.load(seg.first_bloom_page + i, PageType::kBloom);
     }
     const std::uint64_t internals =
         seg.num_pages - seg.num_leaves - seg.num_bloom_pages;
     const std::uint64_t first_internal =
         seg.first_bloom_page + seg.num_bloom_pages;
     for (std::uint64_t i = 0; i < internals; ++i) {
-      (void)impl_->load_page(first_internal + i, PageType::kInternal);
+      (void)impl_->file.load(first_internal + i, PageType::kInternal);
     }
     report.leaf_pages += seg.num_leaves;
     report.events += seg.events;
@@ -363,7 +252,7 @@ StoreVerifyReport TraceStore::verify() {
     accounted += seg.num_pages;
   }
   if (accounted != impl_->manifest.committed_pages) {
-    throw ParseError(impl_->context + ": manifest commits " +
+    throw ParseError(impl_->context() + ": manifest commits " +
                      std::to_string(impl_->manifest.committed_pages) +
                      " pages but its segments account for " +
                      std::to_string(accounted));
@@ -372,9 +261,9 @@ StoreVerifyReport TraceStore::verify() {
 }
 
 const StoreReadTelemetry& TraceStore::telemetry() const noexcept {
-  return impl_->telemetry;
+  return impl_->file.telemetry();
 }
 
-void TraceStore::reset_telemetry() noexcept { impl_->telemetry = {}; }
+void TraceStore::reset_telemetry() noexcept { impl_->telemetry() = {}; }
 
 }  // namespace mtd::store

@@ -2,48 +2,10 @@
 
 namespace mtd::store {
 
-namespace {
-
-/// EventSink shim for the replay path of a bs-less query.
-class FilteredReplaySink final : public EventSink {
- public:
-  FilteredReplaySink(const SourceQuery& query,
-                     const std::function<void(const StreamEvent&)>& fn,
-                     std::uint64_t& delivered)
-      : query_(&query), fn_(&fn), delivered_(&delivered) {}
-
-  void on_event(const StreamEvent& event) override {
-    if (!query_->matches(event)) return;
-    (*fn_)(event);
-    ++*delivered_;
-  }
-
- private:
-  const SourceQuery* query_;
-  const std::function<void(const StreamEvent&)>* fn_;
-  std::uint64_t* delivered_;
-};
-
-}  // namespace
-
 std::uint64_t StoreSessionSource::scan(
     const SourceQuery& query,
     const std::function<void(const StreamEvent&)>& fn) {
-  std::uint64_t delivered = 0;
-  if (query.bs.has_value()) {
-    // BS and day range pushed into the index; only the kind predicate is
-    // evaluated on decoded events.
-    (void)store_->scan(*query.bs, query.day_lo, query.day_hi,
-                       [&](const StreamEvent& event) {
-                         if (!query.kinds.contains(event.kind())) return;
-                         fn(event);
-                         ++delivered;
-                       });
-    return delivered;
-  }
-  FilteredReplaySink sink(query, fn, delivered);
-  (void)store_->replay(sink);
-  return delivered;
+  return store_->scan(query, fn);
 }
 
 }  // namespace mtd::store

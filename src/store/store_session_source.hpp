@@ -1,14 +1,13 @@
 // SessionSource over a TraceStore: the store-backed half of the streaming
 // re-platform (DESIGN.md section 15).
 //
-// Push-down semantics: a query with `bs` set becomes one
-// TraceStore::scan(bs, day_lo, day_hi) — fences prune leaves outside the
-// key range and per-leaf bloom filters reject leaves that never saw the BS,
-// so the pass touches a fraction of the pages (the read telemetry proves
-// it). A query without `bs` has no index to narrow by (keys order by BS
-// first), so it replays the full store and filters day and kind above the
-// decode. Kind filtering is always evaluated client-side: kinds are not
-// part of the key.
+// Push-down semantics: the whole query goes to TraceStore::scan. A query
+// with `bs` set narrows the fence descent to one key range and per-leaf
+// bloom filters reject leaves that never saw the BS, so the pass touches a
+// fraction of the pages (the read telemetry proves it). A query without
+// `bs` has no index to narrow by (keys order by BS first) and reads every
+// leaf. Either way, kind and day are tested on each record's raw header,
+// so only the delivered events are decoded.
 #pragma once
 
 #include "events/session_source.hpp"

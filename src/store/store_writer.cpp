@@ -10,7 +10,8 @@
 #include "common/fmt.hpp"
 #include "events/event_codec.hpp"
 #include "io/json.hpp"
-#include "store/bloom.hpp"
+#include "store/page_reader.hpp"
+#include "store/segment_builder.hpp"
 #include "store/trace_store.hpp"
 
 namespace mtd::store {
@@ -43,8 +44,14 @@ struct TraceStoreWriter::Impl {
 
   void commit();
   CompactionReport compact();
-  SegmentInfo build_segment(const std::vector<StreamEvent>& events,
-                            std::uint64_t first_page, std::string& buf) const;
+  /// A builder appending at the committed length of the page file.
+  SegmentBuilder append_segment();
+  /// Writes the sorted pending events as one segment past the committed
+  /// length.
+  SegmentInfo write_pending();
+  /// Writes the k-way merge of every committed segment (read through
+  /// `pages`) as one segment past the committed length.
+  SegmentInfo write_merged(PageFile& pages);
 };
 
 TraceStoreWriter::TraceStoreWriter(std::unique_ptr<Impl> impl)
@@ -215,29 +222,12 @@ void TraceStoreWriter::Impl::commit() {
     throw IoError("TraceStoreWriter: commit on a closed store '" + path + "'",
                   false);
   }
-
-  StoreManifest next = manifest;
-  if (pending_cursor != kNoCursor) next.engine_next_day = pending_cursor;
-  if (pending_checkpoint.has_value()) {
-    next.engine_checkpoint = *pending_checkpoint;
-  }
-
-  std::string buf;
-  if (!pending.empty()) {
-    // Canonical trace order; stable so equal keys (which do not occur in
-    // engine streams, but are not rejected) keep arrival order.
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const StreamEvent& a, const StreamEvent& b) {
-                       return a.key < b.key;
-                     });
-    SegmentInfo seg = build_segment(pending, manifest.committed_pages, buf);
-    next.committed_pages += seg.num_pages;
-    next.events += seg.events;
-    for (std::size_t k = 0; k < kNumEventKinds; ++k) {
-      next.events_by_kind[k] += pending_by_kind[k];
-    }
-    next.segments.push_back(std::move(seg));
-  }
+  // Canonical trace order; stable so equal keys (which do not occur in
+  // engine streams, but are not rejected) keep arrival order.
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const StreamEvent& a, const StreamEvent& b) {
+                     return a.key < b.key;
+                   });
 
   // The commit sequence: append pages past the committed length, flush
   // them, then atomically publish the manifest that vouches for them. A
@@ -245,17 +235,28 @@ void TraceStoreWriter::Impl::commit() {
   // place — the appended bytes are invisible garbage and the pending
   // events are kept for a retry.
   fault_fire(fault, "store.commit.pages");
-  if (!buf.empty()) {
-    file.clear();
-    file.seekp(static_cast<std::streamoff>(manifest.committed_bytes()));
-    file.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  }
+  std::optional<SegmentInfo> seg;
+  if (!pending.empty()) seg = write_pending();
   fault_fire(fault, "store.commit.sync");
   file.flush();
   if (file.fail()) {
     file.clear();
     throw IoError("TraceStoreWriter: short write appending a segment to '" +
                   pages_path + "'");
+  }
+
+  StoreManifest next = manifest;
+  if (pending_cursor != kNoCursor) next.engine_next_day = pending_cursor;
+  if (pending_checkpoint.has_value()) {
+    next.engine_checkpoint = *pending_checkpoint;
+  }
+  if (seg.has_value()) {
+    next.committed_pages += seg->num_pages;
+    next.events += seg->events;
+    for (std::size_t k = 0; k < kNumEventKinds; ++k) {
+      next.events_by_kind[k] += pending_by_kind[k];
+    }
+    next.segments.push_back(std::move(*seg));
   }
   fault_fire(fault, "store.commit.manifest");
   write_file_atomic(path, next.to_text());
@@ -265,6 +266,17 @@ void TraceStoreWriter::Impl::commit() {
   pending_by_kind = {};
   pending_cursor = kNoCursor;
   pending_checkpoint.reset();
+}
+
+SegmentInfo TraceStoreWriter::Impl::write_pending() {
+  SegmentBuilder builder = append_segment();
+  char record[4 + kMaxEventPayloadBytes];
+  for (const StreamEvent& event : pending) {
+    const std::size_t len = encode_event_payload(event, record + 4);
+    (void)store_le(record, static_cast<std::uint32_t>(len));
+    builder.add(std::string_view(record, 4 + len), event.key);
+  }
+  return builder.finish();
 }
 
 CompactionReport TraceStoreWriter::Impl::compact() {
@@ -277,52 +289,15 @@ CompactionReport TraceStoreWriter::Impl::compact() {
                   "'", false);
   }
 
-  // Drain the committed snapshot through a reader: the on-disk manifest is
-  // exactly `manifest` (pending events are invisible until their commit),
-  // and replay() delivers the k-way merge in canonical key order — the
-  // merged segment's record order equals what any reader already observes.
-  std::vector<StreamEvent> merged;
-  merged.reserve(manifest.events);
-  {
-    struct Collect final : EventSink {
-      std::vector<StreamEvent>* out;
-      void on_event(const StreamEvent& event) override {
-        out->push_back(event);
-      }
-    } sink;
-    sink.out = &merged;
-    TraceStore reader(path);
-    const std::uint64_t replayed = reader.replay(sink);
-    if (replayed != manifest.events) {
-      throw ParseError(context + ": compaction replayed " +
-                       std::to_string(replayed) + " events but the manifest "
-                       "commits " + std::to_string(manifest.events));
-    }
-  }
-
-  StoreManifest next = manifest;
-  std::uint64_t retired = 0;
-  for (const SegmentInfo& seg : manifest.segments) retired += seg.num_pages;
-  std::string buf;
-  SegmentInfo seg = build_segment(merged, manifest.committed_pages, buf);
-  next.committed_pages += seg.num_pages;
-  next.dead_pages += retired;
-  next.segments.clear();
-  next.segments.push_back(seg);
-  report.segments_after = 1;
-  report.events = seg.events;
-  report.pages_written = seg.num_pages;
-  report.pages_retired = retired;
-
   // Same publication discipline as commit(): the merged segment is
   // appended past the committed length, flushed, then the manifest that
   // swaps it in (and retires the old segments) lands atomically. A crash
   // anywhere leaves the previous manifest, under which the old segments
   // are still the live index and the appended bytes are invisible.
+  PageFile pages(pages_path, manifest.options.page_size,
+                 manifest.committed_pages);
   fault_fire(fault, "store.compact.pages");
-  file.clear();
-  file.seekp(static_cast<std::streamoff>(manifest.committed_bytes()));
-  file.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  const SegmentInfo seg = write_merged(pages);
   fault_fire(fault, "store.compact.sync");
   file.flush();
   if (file.fail()) {
@@ -330,6 +305,17 @@ CompactionReport TraceStoreWriter::Impl::compact() {
     throw IoError("TraceStoreWriter: short write appending the compacted "
                   "segment to '" + pages_path + "'");
   }
+
+  StoreManifest next = manifest;
+  std::uint64_t retired = 0;
+  for (const SegmentInfo& old : manifest.segments) retired += old.num_pages;
+  next.committed_pages += seg.num_pages;
+  next.dead_pages += retired;
+  next.segments.assign(1, seg);
+  report.segments_after = 1;
+  report.events = seg.events;
+  report.pages_written = seg.num_pages;
+  report.pages_retired = retired;
   fault_fire(fault, "store.compact.manifest");
   write_file_atomic(path, next.to_text());
 
@@ -337,137 +323,40 @@ CompactionReport TraceStoreWriter::Impl::compact() {
   return report;
 }
 
-SegmentInfo TraceStoreWriter::Impl::build_segment(
-    const std::vector<StreamEvent>& events, std::uint64_t first_page,
-    std::string& buf) const {
-  const std::size_t page_size = manifest.options.page_size;
-  const std::size_t capacity = page_size - kPageHeaderBytes;
-
-  // Pack the sorted records into leaves, tracking each leaf's key fences
-  // and (sorted, hence run-length) distinct BS ids for its bloom filter.
-  struct Leaf {
-    std::string payload;
-    std::uint16_t entries = 0;
-    EventKey min_key;
-    EventKey max_key;
-    std::vector<std::uint32_t> bss;
-  };
-  std::vector<Leaf> leaves;
-  char scratch[4 + kMaxEventPayloadBytes];
-  for (const StreamEvent& event : events) {
-    const std::size_t len = encode_event_payload(event, scratch + 4);
-    (void)store_le(scratch, static_cast<std::uint32_t>(len));
-    const std::size_t record = 4 + len;
-    if (leaves.empty() || leaves.back().payload.size() + record > capacity ||
-        leaves.back().entries == 0xffff) {
-      leaves.emplace_back();
-      leaves.back().min_key = event.key;
+SegmentInfo TraceStoreWriter::Impl::write_merged(PageFile& pages) {
+  // The committed snapshot is exactly `manifest` (pending events are
+  // invisible until their commit). Its segments' raw records are k-way
+  // merged by key straight into the new segment's pages — the record
+  // order every reader already observes, with no decode/encode round trip.
+  RecordMerge merge;
+  for (const SegmentInfo& seg : manifest.segments) {
+    std::vector<std::uint64_t> leaves(seg.num_leaves);
+    for (std::uint64_t i = 0; i < seg.num_leaves; ++i) {
+      leaves[i] = seg.first_leaf + i;
     }
-    Leaf& leaf = leaves.back();
-    leaf.payload.append(scratch, record);
-    leaf.max_key = event.key;
-    if (leaf.bss.empty() || leaf.bss.back() != event.key.bs) {
-      leaf.bss.push_back(event.key.bs);
-    }
-    ++leaf.entries;
+    merge.add(pages, std::move(leaves), RecordFilter{});
   }
+  SegmentBuilder builder = append_segment();
+  for (const RawRecord* record = merge.front(); record != nullptr;
+       record = merge.front()) {
+    builder.add(record->bytes, record->key);
+    merge.pop();
+  }
+  // Records of kinds this build does not know are not carried over, so
+  // they surface here as a count the manifest does not vouch for.
+  if (builder.events() != manifest.events) {
+    throw ParseError(context + ": compaction replayed " +
+                     std::to_string(builder.events()) +
+                     " events but the manifest commits " +
+                     std::to_string(manifest.events));
+  }
+  return builder.finish();
+}
 
-  // One bloom width per segment, sized for its densest leaf (filters must
-  // be fixed-width so the reader can locate leaf L's filter by arithmetic).
-  std::size_t max_distinct = 1;
-  for (const Leaf& leaf : leaves) {
-    max_distinct = std::max(max_distinct, leaf.bss.size());
-  }
-  const std::size_t bloom_bytes = std::min(
-      bloom_bytes_for(max_distinct, manifest.options.bloom_bits_per_key),
-      capacity);
-  const std::size_t bloom_hashes =
-      bloom_hashes_for(manifest.options.bloom_bits_per_key);
-  const std::size_t filters_per_page =
-      bloom_filters_per_page(page_size, bloom_bytes);
-
-  SegmentInfo seg;
-  seg.first_page = first_page;
-  seg.first_leaf = seg.first_page;
-  seg.num_leaves = leaves.size();
-  seg.bloom_bytes = static_cast<std::uint32_t>(bloom_bytes);
-  seg.bloom_hashes = static_cast<std::uint32_t>(bloom_hashes);
-  seg.events = events.size();
-  seg.min_key = leaves.front().min_key;
-  seg.max_key = leaves.back().max_key;
-
-  std::uint64_t next_id = seg.first_page;
-  for (const Leaf& leaf : leaves) {
-    buf += build_page(next_id++, PageType::kLeaf, leaf.entries, leaf.payload,
-                      page_size);
-  }
-
-  seg.first_bloom_page = next_id;
-  {
-    std::string payload;
-    std::uint16_t entries = 0;
-    for (const Leaf& leaf : leaves) {
-      BsBloom bloom(bloom_bytes, bloom_hashes);
-      for (const std::uint32_t bs : leaf.bss) bloom.add(bs);
-      payload.append(reinterpret_cast<const char*>(bloom.bytes().data()),
-                     bloom_bytes);
-      if (++entries == filters_per_page) {
-        buf += build_page(next_id++, PageType::kBloom, entries, payload,
-                          page_size);
-        payload.clear();
-        entries = 0;
-      }
-    }
-    if (entries > 0) {
-      buf += build_page(next_id++, PageType::kBloom, entries, payload,
-                        page_size);
-    }
-  }
-  seg.num_bloom_pages = next_id - seg.first_bloom_page;
-
-  // Fence levels, bottom-up: each level packs (min, max, child) entries of
-  // the level below until a single root remains.
-  struct Fence {
-    EventKey min_key;
-    EventKey max_key;
-    std::uint64_t child = 0;
-  };
-  std::vector<Fence> level;
-  level.reserve(leaves.size());
-  for (std::size_t i = 0; i < leaves.size(); ++i) {
-    level.push_back(
-        {leaves[i].min_key, leaves[i].max_key, seg.first_leaf + i});
-  }
-  const std::size_t fences_per_page = fence_entries_per_page(page_size);
-  seg.depth = 0;
-  while (level.size() > 1) {
-    ++seg.depth;
-    std::vector<Fence> parents;
-    std::size_t begin = 0;
-    while (begin < level.size()) {
-      const std::size_t count =
-          std::min(fences_per_page, level.size() - begin);
-      std::string payload(count * kFenceEntryBytes, '\0');
-      char* p = payload.data();
-      for (std::size_t i = 0; i < count; ++i) {
-        const Fence& f = level[begin + i];
-        encode_key(f.min_key, p);
-        encode_key(f.max_key, p + kKeyBytes);
-        (void)store_le(p + 2 * kKeyBytes, f.child);
-        p += kFenceEntryBytes;
-      }
-      const std::uint64_t id = next_id++;
-      buf += build_page(id, PageType::kInternal,
-                        static_cast<std::uint16_t>(count), payload, page_size);
-      parents.push_back(
-          {level[begin].min_key, level[begin + count - 1].max_key, id});
-      begin += count;
-    }
-    level = std::move(parents);
-  }
-  seg.root = level.front().child;
-  seg.num_pages = next_id - seg.first_page;
-  return seg;
+SegmentBuilder TraceStoreWriter::Impl::append_segment() {
+  file.clear();
+  file.seekp(static_cast<std::streamoff>(manifest.committed_bytes()));
+  return SegmentBuilder(file, manifest.options, manifest.committed_pages);
 }
 
 }  // namespace mtd::store

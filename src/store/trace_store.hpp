@@ -35,6 +35,7 @@
 
 namespace mtd {
 class FaultInjector;
+struct SourceQuery;
 }  // namespace mtd
 
 namespace mtd::store {
@@ -225,6 +226,16 @@ class TraceStore {
   /// Exact-key point lookup across all segments.
   [[nodiscard]] std::optional<StreamEvent> get(const EventKey& key);
 
+  /// Streams every event matching `query` to `fn`, in key order (segments
+  /// are merged), and returns the count. The whole query is pushed below
+  /// the decode: a set `bs` narrows the fence descent to one key range and
+  /// probes each candidate leaf's bloom filter before reading it; kind and
+  /// day are tested on each record's raw header, so only delivered events
+  /// are decoded.
+  [[nodiscard]] std::uint64_t scan(
+      const SourceQuery& query,
+      const std::function<void(const StreamEvent&)>& fn);
+
   /// Streams every event with bs == `bs` and day in [day_lo, day_hi] to
   /// `fn`, in key order (segments are merged). Returns the event count.
   [[nodiscard]] std::uint64_t scan(
@@ -237,9 +248,9 @@ class TraceStore {
   /// (per-cell event order is preserved; see MeasurementDataset::finalize).
   [[nodiscard]] std::uint64_t replay(EventSink& sink);
 
-  /// Walks every committed page and validates header + checksum; decodes
-  /// every leaf and recounts events per segment. Throws ParseError with
-  /// path and byte offset at the first corrupt page.
+  /// Walks every live committed page once and validates header +
+  /// checksum; checks every leaf record and recounts events per segment.
+  /// Throws ParseError with path and byte offset at the first corrupt page.
   [[nodiscard]] StoreVerifyReport verify();
 
   [[nodiscard]] const StoreReadTelemetry& telemetry() const noexcept;

@@ -17,6 +17,7 @@
 #include "engine/engine.hpp"
 #include "engine/store_runner.hpp"
 #include "events/session_source.hpp"
+#include "scratch_path.hpp"
 #include "store/store_session_source.hpp"
 #include "store/trace_store.hpp"
 #include "usecases/slicing.hpp"
@@ -28,10 +29,6 @@ namespace {
 using store::StoreSessionSource;
 using store::TraceStore;
 using store::TraceStoreWriter;
-
-std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 constexpr std::size_t kNumBs = 24;
 constexpr std::size_t kNumDays = 6;  // day 5 is a Saturday: the Days
@@ -74,7 +71,7 @@ MemorySessionSource& memory_source() {
 /// (different interleaving, same canonical order once committed).
 const std::string& store_path() {
   static const std::string path = [] {
-    const std::string p = temp_path("mtd_parity.store");
+    const std::string p = test::scratch_path("mtd_parity.store");
     EngineConfig config;
     config.num_workers = 3;
     config.batch_size = 16;
@@ -344,7 +341,7 @@ TEST(SessionSource, ParitySurvivesCompactionAndCompactionCrash) {
 
   // A private copy of the committed store, so compaction here cannot
   // interfere with the shared fixture.
-  const std::string path = temp_path("mtd_parity_compact.store");
+  const std::string path = test::scratch_path("mtd_parity_compact.store");
   {
     TraceStore original(store_path());
     MemorySessionSource::Collector tap;

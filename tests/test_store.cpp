@@ -7,6 +7,7 @@
 #include "engine/engine.hpp"
 #include "engine/store_runner.hpp"
 #include "events/event_sink.hpp"
+#include "scratch_path.hpp"
 #include "store/bloom.hpp"
 #include "store/trace_store.hpp"
 
@@ -16,10 +17,6 @@ namespace {
 using store::StoreOptions;
 using store::TraceStore;
 using store::TraceStoreWriter;
-
-std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 Network make_network(std::size_t n = 12) {
   NetworkConfig config;
@@ -56,7 +53,7 @@ StreamEvent session_event(std::uint32_t bs, std::uint16_t day,
 }
 
 TEST(TraceStore, RoundTripsEventsThroughDiskPages) {
-  const std::string path = temp_path("mtd_store_roundtrip.store");
+  const std::string path = test::scratch_path("mtd_store_roundtrip.store");
   {
     TraceStoreWriter writer = TraceStoreWriter::create(path);
     writer.on_event(minute_event(3, 0, 5, 0, 17));
@@ -95,7 +92,7 @@ TEST(TraceStore, RoundTripsEventsThroughDiskPages) {
 }
 
 TEST(TraceStore, CommitSortsIntoCanonicalKeyOrder) {
-  const std::string path = temp_path("mtd_store_sorted.store");
+  const std::string path = test::scratch_path("mtd_store_sorted.store");
   {
     TraceStoreWriter writer = TraceStoreWriter::create(path);
     // Deliberately shuffled arrival order across BSs and days.
@@ -123,7 +120,7 @@ TEST(TraceStore, CommitSortsIntoCanonicalKeyOrder) {
 }
 
 TEST(TraceStore, MergesMultipleSegmentsInKeyOrder) {
-  const std::string path = temp_path("mtd_store_merge.store");
+  const std::string path = test::scratch_path("mtd_store_merge.store");
   {
     TraceStoreWriter writer = TraceStoreWriter::create(path);
     // Segment 1: even days; segment 2: odd days, interleaving in key space.
@@ -159,7 +156,7 @@ TEST(TraceStore, MergesMultipleSegmentsInKeyOrder) {
 }
 
 TEST(TraceStore, AppendReopensAndExtends) {
-  const std::string path = temp_path("mtd_store_append.store");
+  const std::string path = test::scratch_path("mtd_store_append.store");
   {
     TraceStoreWriter writer = TraceStoreWriter::create(path);
     writer.on_event(minute_event(1, 0, 0, 0, 10));
@@ -181,7 +178,7 @@ TEST(TraceStore, AppendReopensAndExtends) {
 }
 
 TEST(TraceStore, BloomFiltersPruneLeafReads) {
-  const std::string path = temp_path("mtd_store_bloom.store");
+  const std::string path = test::scratch_path("mtd_store_bloom.store");
   // Small pages force many leaves; two segments whose key fences overlap
   // (both span the full BS range) but whose BS populations are disjoint
   // (even vs odd), so only the bloom filters can tell a probe apart.
@@ -254,11 +251,11 @@ TEST(TraceStore, BloomSizingPolicyFollowsBitsPerKey) {
 
 TEST(TraceStore, RejectsBadOptions) {
   EXPECT_THROW((void)TraceStoreWriter::create(
-                   temp_path("mtd_store_bad1.store"),
+                   test::scratch_path("mtd_store_bad1.store"),
                    StoreOptions{.page_size = 64}),
                InvalidArgument);
   EXPECT_THROW((void)TraceStoreWriter::create(
-                   temp_path("mtd_store_bad2.store"),
+                   test::scratch_path("mtd_store_bad2.store"),
                    StoreOptions{.bloom_bits_per_key = 0.0}),
                InvalidArgument);
 }
@@ -280,7 +277,7 @@ TEST(TraceStore, ReplayFromStoreMatchesDirectGenerationBitExact) {
     std::size_t batch;
   };
   for (const Variant v : {Variant{1, 1}, Variant{3, 64}}) {
-    const std::string path = temp_path("mtd_store_parity.store");
+    const std::string path = test::scratch_path("mtd_store_parity.store");
     {
       EngineConfig config;
       config.num_workers = v.workers;
@@ -331,7 +328,7 @@ TEST(TraceStore, ResumeIntoStoreContinuesWhereItStopped) {
   TraceConfig trace;
   trace.num_days = 2;
   trace.seed = 33;
-  const std::string path = temp_path("mtd_store_resume.store");
+  const std::string path = test::scratch_path("mtd_store_resume.store");
 
   EngineCheckpoint checkpoint;
   {
@@ -370,7 +367,7 @@ TEST(TraceStore, CursorMismatchIsRejected) {
   TraceConfig trace;
   trace.num_days = 2;
   trace.seed = 33;
-  const std::string path = temp_path("mtd_store_cursor.store");
+  const std::string path = test::scratch_path("mtd_store_cursor.store");
 
   EngineCheckpoint checkpoint;
   {

@@ -13,6 +13,7 @@
 #include "common/fault.hpp"
 #include "events/event_sink.hpp"
 #include "io/json.hpp"
+#include "scratch_path.hpp"
 #include "store/trace_store.hpp"
 
 namespace mtd {
@@ -22,10 +23,6 @@ using store::CompactionReport;
 using store::StoreOptions;
 using store::TraceStore;
 using store::TraceStoreWriter;
-
-std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 StreamEvent minute_event(std::uint32_t bs, std::uint16_t day,
                          std::uint16_t minute, std::uint64_t seq,
@@ -91,7 +88,7 @@ void expect_identical_replay(const std::vector<StreamEvent>& a,
 }
 
 TEST(TraceStoreCompact, MergesSegmentsPreservingReplayAndAccounting) {
-  const std::string path = temp_path("mtd_compact_basic.store");
+  const std::string path = test::scratch_path("mtd_compact_basic.store");
   build_segmented_store(path, 4);
 
   Collect before;
@@ -145,7 +142,7 @@ TEST(TraceStoreCompact, MergesSegmentsPreservingReplayAndAccounting) {
 }
 
 TEST(TraceStoreCompact, SingleSegmentAndEmptyStoreAreNoOps) {
-  const std::string path = temp_path("mtd_compact_noop.store");
+  const std::string path = test::scratch_path("mtd_compact_noop.store");
   build_segmented_store(path, 1);
   TraceStoreWriter writer = TraceStoreWriter::append(path);
   const CompactionReport report = writer.compact();
@@ -156,7 +153,7 @@ TEST(TraceStoreCompact, SingleSegmentAndEmptyStoreAreNoOps) {
   writer.close();
   EXPECT_EQ(TraceStore(path).manifest().dead_pages, 0u);
 
-  const std::string empty = temp_path("mtd_compact_empty.store");
+  const std::string empty = test::scratch_path("mtd_compact_empty.store");
   TraceStoreWriter fresh = TraceStoreWriter::create(empty);
   const CompactionReport none = fresh.compact();
   EXPECT_EQ(none.segments_before, 0u);
@@ -164,7 +161,7 @@ TEST(TraceStoreCompact, SingleSegmentAndEmptyStoreAreNoOps) {
 }
 
 TEST(TraceStoreCompact, PendingEventsSurviveCompactionUntouched) {
-  const std::string path = temp_path("mtd_compact_pending.store");
+  const std::string path = test::scratch_path("mtd_compact_pending.store");
   build_segmented_store(path, 2);
 
   TraceStoreWriter writer = TraceStoreWriter::append(path);
@@ -182,7 +179,7 @@ TEST(TraceStoreCompact, PendingEventsSurviveCompactionUntouched) {
 }
 
 TEST(TraceStoreCompact, AppendAfterCompactionKeepsAccountingConsistent) {
-  const std::string path = temp_path("mtd_compact_append.store");
+  const std::string path = test::scratch_path("mtd_compact_append.store");
   build_segmented_store(path, 3);
   {
     TraceStoreWriter writer = TraceStoreWriter::append(path);
@@ -227,7 +224,7 @@ TEST(TraceStoreCompact, EveryCompactionPhaseFailureKeepsPreviousState) {
   int variant = 0;
   for (const char* point : kPoints) {
     for (const FaultAction action : kActions) {
-      const std::string path = temp_path(
+      const std::string path = test::scratch_path(
           ("mtd_compact_fault_" + std::to_string(variant++) + ".store")
               .c_str());
       build_segmented_store(path, 3);
@@ -276,7 +273,7 @@ TEST(TraceStoreCompact, EveryCompactionPhaseFailureKeepsPreviousState) {
 // A dead_pages count the page accounting cannot explain is corruption and
 // must be diagnosed at manifest load, not silently accepted.
 TEST(TraceStoreCompact, ImplausibleDeadPagesIsDiagnosed) {
-  const std::string path = temp_path("mtd_compact_bad_manifest.store");
+  const std::string path = test::scratch_path("mtd_compact_bad_manifest.store");
   build_segmented_store(path, 2);
   {
     TraceStoreWriter writer = TraceStoreWriter::append(path);

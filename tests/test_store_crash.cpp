@@ -13,6 +13,7 @@
 
 #include "common/fault.hpp"
 #include "io/json.hpp"
+#include "scratch_path.hpp"
 #include "store/format.hpp"
 #include "store/trace_store.hpp"
 
@@ -21,10 +22,6 @@ namespace {
 
 using store::TraceStore;
 using store::TraceStoreWriter;
-
-std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 StreamEvent minute_event(std::uint32_t bs, std::uint16_t day,
                          std::uint16_t minute, std::uint64_t seq,
@@ -79,7 +76,7 @@ TEST(TraceStoreCrash, EveryCommitPhaseFailureKeepsPreviousStateAndRetries) {
   int variant = 0;
   for (const char* point : kPoints) {
     for (const FaultAction action : kActions) {
-      const std::string path = temp_path(
+      const std::string path = test::scratch_path(
           ("mtd_store_fault_" + std::to_string(variant++) + ".store")
               .c_str());
       FaultInjector fault;
@@ -109,7 +106,7 @@ TEST(TraceStoreCrash, EveryCommitPhaseFailureKeepsPreviousStateAndRetries) {
 // reclaims it); truncating into committed pages must produce a ParseError
 // that names the .pages path and the byte size it found.
 TEST(TraceStoreCrash, TruncationIntoCommittedPagesIsDiagnosed) {
-  const std::string path = temp_path("mtd_store_trunc.store");
+  const std::string path = test::scratch_path("mtd_store_trunc.store");
   {
     TraceStoreWriter writer = TraceStoreWriter::create(path);
     for (std::uint32_t bs = 0; bs < 32; ++bs) {
@@ -151,7 +148,7 @@ TEST(TraceStoreCrash, TruncationIntoCommittedPagesIsDiagnosed) {
 // Garbage past the committed byte count — a crash mid-append before any
 // manifest replace — is invisible to readers and reclaimed by append().
 TEST(TraceStoreCrash, UncommittedTailIsIgnoredAndReclaimed) {
-  const std::string path = temp_path("mtd_store_tail.store");
+  const std::string path = test::scratch_path("mtd_store_tail.store");
   {
     TraceStoreWriter writer = TraceStoreWriter::create(path);
     writer.on_event(minute_event(1, 0, 0, 0, 1));
@@ -184,7 +181,7 @@ TEST(TraceStoreCrash, UncommittedTailIsIgnoredAndReclaimed) {
 // Manifest prefix truncation: every proper prefix of the manifest JSON must
 // fail to load with a ParseError naming the manifest path and its size.
 TEST(TraceStoreCrash, ManifestPrefixTruncationIsDiagnosed) {
-  const std::string path = temp_path("mtd_store_manifest_trunc.store");
+  const std::string path = test::scratch_path("mtd_store_manifest_trunc.store");
   {
     TraceStoreWriter writer = TraceStoreWriter::create(path);
     writer.on_event(minute_event(1, 0, 0, 0, 1));
@@ -212,7 +209,7 @@ TEST(TraceStoreCrash, ManifestPrefixTruncationIsDiagnosed) {
 // A flipped byte inside a committed leaf page is caught by the page
 // checksum, with the page's byte offset in the diagnostic.
 TEST(TraceStoreCrash, CorruptLeafPageFailsChecksumWithByteOffset) {
-  const std::string path = temp_path("mtd_store_bitflip.store");
+  const std::string path = test::scratch_path("mtd_store_bitflip.store");
   {
     TraceStoreWriter writer = TraceStoreWriter::create(path);
     for (std::uint32_t bs = 0; bs < 8; ++bs) {

@@ -19,6 +19,7 @@
 #include "dataset/network.hpp"
 #include "engine/store_runner.hpp"
 #include "events/event_codec.hpp"
+#include "scratch_path.hpp"
 #include "store/trace_store.hpp"
 
 namespace mtd {
@@ -137,8 +138,7 @@ std::size_t run_supervised_into_store(const std::string& path,
 TEST(StoreSupervised, KillAtEveryCommitPointResumesBitIdentical) {
   const Network network = make_network(6);
   const TraceConfig trace = make_trace(2);
-  const fs::path dir =
-      fs::temp_directory_path() / "mtd_test_store_supervised";
+  const fs::path dir = test::scratch_path("stores");
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -196,8 +196,7 @@ TEST(StoreSupervised, KillAtEveryCommitPointResumesBitIdentical) {
 TEST(StoreSupervised, UncommittedTailFromAKilledCommitIsReclaimed) {
   const Network network = make_network(6);
   const TraceConfig trace = make_trace(1);
-  const fs::path dir =
-      fs::temp_directory_path() / "mtd_test_store_tail";
+  const fs::path dir = test::scratch_path("stores");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string path = (dir / "tail.store").string();
