@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -205,6 +206,10 @@ struct DistributionCase {
   double expected_mean;
   double tolerance;
 };
+
+// Without this gtest prints the raw bytes of the case, and the leading
+// `name` pointer makes the test names differ from one process to the next.
+void PrintTo(const DistributionCase& c, std::ostream* os) { *os << c.name; }
 
 class RngDistributionMeans : public ::testing::TestWithParam<DistributionCase> {};
 
